@@ -15,7 +15,9 @@
 //! response time and wall-clock are reported; results land in
 //! `results/BENCH_join_order.json`.
 //!
-//! `--smoke` (or `FEISU_BENCH_SMOKE=1`) shrinks the tables for CI.
+//! `--smoke` (or `FEISU_BENCH_SMOKE=1`) shrinks the tables for CI and
+//! writes `target/bench-smoke/BENCH_join_order.json` instead, so a smoke
+//! run never overwrites the committed full-run numbers.
 
 use feisu_common::rng::DetRng;
 use feisu_core::engine::{ClusterSpec, FeisuCluster, QueryResult};
@@ -209,7 +211,13 @@ fn main() {
         json_f(opt_wall),
         json_f(wall_speedup),
     );
-    std::fs::create_dir_all("results").expect("create results/");
-    std::fs::write("results/BENCH_join_order.json", json).expect("write bench json");
-    println!("\nresults -> results/BENCH_join_order.json");
+    let dir = if smoke {
+        "target/bench-smoke"
+    } else {
+        "results"
+    };
+    std::fs::create_dir_all(dir).expect("create output dir");
+    let path = format!("{dir}/BENCH_join_order.json");
+    std::fs::write(&path, json).expect("write bench json");
+    println!("\nresults -> {path}");
 }

@@ -290,6 +290,9 @@ impl FeisuCluster {
     /// SSD cache, leaf servers.
     pub fn new(spec: ClusterSpec) -> Result<FeisuCluster> {
         spec.config.validate().map_err(FeisuError::Config)?;
+        // Query wall times must not depend on what the allocator saw
+        // before this cluster existed.
+        feisu_common::heap::pin_thresholds();
         let clock = SimClock::new();
         let metrics = Arc::new(MetricsRegistry::new());
         let topology = Arc::new(Topology::grid(

@@ -19,10 +19,12 @@ use feisu_cluster::simclock::TimeTally;
 use feisu_common::{QueryId, Result, SimInstant};
 use feisu_exec::aggregate::AggTable;
 use feisu_exec::batch::RecordBatch;
+use feisu_exec::join::BuildSide;
 use feisu_exec::physical::PhysicalPlan;
 use feisu_exec::reorder::{lower_with, JoinOrderTrace, LowerOptions};
 use feisu_obs::{SpanId, SpanRecorder};
 use feisu_sql::analyze::analyze;
+use feisu_sql::ast::JoinKind;
 use feisu_sql::optimizer::{optimize_with_trace, RuleFire};
 use feisu_sql::plan::build_plan;
 use feisu_storage::auth::{Credential, Grant};
@@ -235,6 +237,13 @@ impl FeisuCluster {
                 let r = self.exec_physical(right, ctx, Some(span))?;
                 ctx.tally
                     .add_cpu(plan.master_cpu_cost(&self.spec.cost, &[l.rows(), r.rows()]));
+                if *kind != JoinKind::Cross {
+                    let side = BuildSide::for_rows(l.rows(), r.rows());
+                    let (build_rows, probe_rows) = side.split(l.rows(), r.rows());
+                    ctx.spans.attr(span, "build_side", side.as_str());
+                    ctx.spans.attr(span, "build_rows", build_rows);
+                    ctx.spans.attr(span, "probe_rows", probe_rows);
+                }
                 feisu_exec::join::join(&l, &r, *kind, on, output_schema)
             }
             PhysicalPlan::Sort { input, keys, fetch } => {

@@ -119,8 +119,13 @@ impl RecordBatch {
         let Some(first) = batches.first() else {
             return Err(FeisuError::Execution("concat of zero batches".into()));
         };
-        let mut columns = first.columns.clone();
-        for b in &batches[1..] {
+        let rows = batches.iter().map(|b| b.rows).sum();
+        let mut columns: Vec<Column> = first
+            .columns
+            .iter()
+            .map(|c| Column::with_capacity(c.data_type(), rows))
+            .collect();
+        for b in batches {
             if b.schema != first.schema {
                 return Err(FeisuError::Execution("concat schema mismatch".into()));
             }

@@ -7,12 +7,15 @@
 //! per-column NDV, predicate selectivities), and a left-deep order is
 //! searched — exhaustively by dynamic programming up to
 //! [`LowerOptions::dp_limit`] relations, greedily above. Costs are billed
-//! through the same [`CostModel`] the engine charges at execution time
-//! (`join_build` on the accumulated left side, `join_probe` on the new
-//! right side), so the search optimizes exactly what the simulator
-//! measures. The syntactic order is kept on ties, which makes the whole
-//! pass a no-op for two-relation joins under the default (symmetric)
-//! CPU rates — and fully deterministic everywhere.
+//! through the same [`CostModel`] the engine charges at execution time:
+//! by contract a join step bills `join_build(left rows) +
+//! join_probe(right rows)`, independent of the input the hash join
+//! physically hashes (the smaller one, see `crate::join`). The bill stays
+//! that way so simulated results remain bit-identical, and the search
+//! optimizes exactly what the simulator measures. The syntactic order is
+//! kept on ties, which makes the whole pass a no-op for two-relation
+//! joins under the default (symmetric) CPU rates — and fully
+//! deterministic everywhere.
 //!
 //! [`TableStats`]: feisu_sql::stats::TableStats
 
@@ -343,9 +346,11 @@ fn cond_info(expr: Expr, rels: &[Rel], catalog: &dyn Catalog) -> CondInfo {
 }
 
 /// Cardinality and step cost of joining the accumulated left side (rows
-/// `acc_card`, relations `acc_mask`) with relation `j`: the engine builds
-/// a hash table over the left rows and probes with the right rows, and
-/// every condition that first becomes evaluable scales the output.
+/// `acc_card`, relations `acc_mask`) with relation `j`. The step bills
+/// `join_build` on the left rows and `join_probe` on the right rows by
+/// contract, whichever input the engine physically hashes, so simulated
+/// results stay bit-identical. Every condition that first becomes
+/// evaluable scales the output.
 fn join_step(
     acc_card: f64,
     acc_mask: usize,

@@ -31,6 +31,14 @@ impl Validity {
         }
     }
 
+    pub fn new_all_null(len: usize) -> Self {
+        Validity {
+            bits: vec![0; len.div_ceil(64)],
+            len,
+            null_count: len,
+        }
+    }
+
     pub fn with_capacity(cap: usize) -> Self {
         Validity {
             bits: Vec::with_capacity(cap.div_ceil(64)),
@@ -50,6 +58,40 @@ impl Validity {
             self.null_count += 1;
         }
         self.len += 1;
+    }
+
+    /// Appends all of `other`'s bits, one word at a time: each source
+    /// word is split across the tail word and one fresh word.
+    pub fn extend(&mut self, other: &Validity) {
+        if other.len == 0 {
+            return;
+        }
+        let shift = self.len % 64;
+        // Bits past `len` may be set in words from `from_words`; clear
+        // them so they cannot leak into the appended rows.
+        if shift != 0 {
+            if let Some(last) = self.bits.last_mut() {
+                *last &= (1u64 << shift) - 1;
+            }
+        }
+        let tail = other.len % 64;
+        let last = other.bits.len() - 1;
+        for (wi, &w) in other.bits.iter().enumerate() {
+            let w = if wi == last && tail != 0 {
+                w & ((1u64 << tail) - 1)
+            } else {
+                w
+            };
+            if shift == 0 {
+                self.bits.push(w);
+            } else {
+                *self.bits.last_mut().expect("shift > 0 implies a tail word") |= w << shift;
+                self.bits.push(w >> (64 - shift));
+            }
+        }
+        self.len += other.len;
+        self.bits.truncate(self.len.div_ceil(64));
+        self.null_count += other.null_count;
     }
 
     #[inline]
@@ -304,12 +346,56 @@ impl Column {
         }
     }
 
+    /// An empty column with room for `cap` rows.
+    pub fn with_capacity(data_type: DataType, cap: usize) -> Column {
+        let data = match data_type {
+            DataType::Bool => ColumnData::Bool(Vec::with_capacity(cap)),
+            DataType::Int64 => ColumnData::Int64(Vec::with_capacity(cap)),
+            DataType::Float64 => ColumnData::Float64(Vec::with_capacity(cap)),
+            DataType::Utf8 => ColumnData::Utf8(Vec::with_capacity(cap)),
+        };
+        Column {
+            data,
+            validity: Validity::with_capacity(cap),
+        }
+    }
+
+    /// A column of `len` nulls.
+    pub fn nulls(data_type: DataType, len: usize) -> Column {
+        let data = match data_type {
+            DataType::Bool => ColumnData::Bool(vec![false; len]),
+            DataType::Int64 => ColumnData::Int64(vec![0; len]),
+            DataType::Float64 => ColumnData::Float64(vec![0.0; len]),
+            DataType::Utf8 => ColumnData::Utf8(vec![String::new(); len]),
+        };
+        Column {
+            data,
+            validity: Validity::new_all_null(len),
+        }
+    }
+
     /// Gathers the rows selected by `indices` into a new column.
     pub fn take(&self, indices: &[usize]) -> Column {
-        let mut validity = Validity::with_capacity(indices.len());
-        for &i in indices {
-            validity.push(self.validity.is_valid(i));
-        }
+        let validity = if self.validity.null_count() == 0 {
+            Validity::new_all_valid(indices.len())
+        } else {
+            // Gather 64 validity bits into a word before storing it.
+            let mut bits = Vec::with_capacity(indices.len().div_ceil(64));
+            let mut nulls = 0;
+            for chunk in indices.chunks(64) {
+                let mut word = 0u64;
+                for (j, &i) in chunk.iter().enumerate() {
+                    word |= (self.validity.is_valid(i) as u64) << j;
+                }
+                nulls += chunk.len() - word.count_ones() as usize;
+                bits.push(word);
+            }
+            Validity {
+                bits,
+                len: indices.len(),
+                null_count: nulls,
+            }
+        };
         let data = match &self.data {
             ColumnData::Bool(v) => ColumnData::Bool(indices.iter().map(|&i| v[i]).collect()),
             ColumnData::Int64(v) => ColumnData::Int64(indices.iter().map(|&i| v[i]).collect()),
@@ -382,9 +468,7 @@ impl Column {
     /// Appends another column of the same type.
     pub fn append(&mut self, other: &Column) {
         assert_eq!(self.data_type(), other.data_type(), "append type mismatch");
-        for i in 0..other.len() {
-            self.validity.push(other.validity.is_valid(i));
-        }
+        self.validity.extend(&other.validity);
         match (&mut self.data, &other.data) {
             (ColumnData::Bool(a), ColumnData::Bool(b)) => a.extend_from_slice(b),
             (ColumnData::Int64(a), ColumnData::Int64(b)) => a.extend_from_slice(b),
@@ -654,6 +738,85 @@ mod tests {
         let c = b.finish();
         assert_eq!(c.len(), 2);
         assert_eq!(c.data_type(), DataType::Utf8);
+    }
+
+    /// `n` Int64 values, every third one null when `nulls`.
+    fn pattern(n: usize, nulls: bool) -> Vec<Value> {
+        (0..n as i64)
+            .map(|i| {
+                if nulls && i % 3 == 1 {
+                    Value::Null
+                } else {
+                    Value::Int64(i)
+                }
+            })
+            .collect()
+    }
+
+    fn int_column(values: &[Value]) -> Column {
+        Column::from_values(DataType::Int64, values).unwrap()
+    }
+
+    const EDGE_LENGTHS: [usize; 6] = [0, 1, 63, 64, 65, 130];
+
+    #[test]
+    fn take_validity_matches_per_row_push() {
+        for n in EDGE_LENGTHS {
+            for nulls in [false, true] {
+                let c = int_column(&pattern(n, nulls));
+                // Reversed then repeated: crosses word boundaries both ways.
+                let idx: Vec<usize> = (0..n).rev().chain(0..n).collect();
+                let want: Vec<Value> = idx.iter().map(|&i| c.value(i)).collect();
+                assert_eq!(c.take(&idx), int_column(&want), "n={n} nulls={nulls}");
+            }
+        }
+    }
+
+    #[test]
+    fn append_validity_matches_per_row_push() {
+        for head in EDGE_LENGTHS {
+            for tail in EDGE_LENGTHS {
+                for (head_nulls, tail_nulls) in
+                    [(false, false), (true, false), (false, true), (true, true)]
+                {
+                    let mut a = int_column(&pattern(head, head_nulls));
+                    let b = int_column(&pattern(tail, tail_nulls));
+                    a.append(&b);
+                    let mut want = pattern(head, head_nulls);
+                    want.extend(pattern(tail, tail_nulls));
+                    assert_eq!(
+                        a,
+                        int_column(&want),
+                        "{head}+{tail} {head_nulls}/{tail_nulls}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn extend_ignores_bits_past_len() {
+        // Words from a decoder may carry set bits past `len`.
+        for len in [1usize, 63, 65] {
+            let mut v = Validity::from_words(vec![0; len.div_ceil(64)], len);
+            *v.bits.last_mut().unwrap() |= !((1u64 << (len % 64)) - 1);
+            let mut dirty_tail = Validity::from_words(vec![u64::MAX; 2], 65);
+            dirty_tail.null_count = 0;
+            v.extend(&dirty_tail);
+            assert_eq!(v.len(), len + 65);
+            assert_eq!(v.null_count(), len);
+            assert!((0..len).all(|i| !v.is_valid(i)));
+            assert!((len..len + 65).all(|i| v.is_valid(i)));
+            assert_eq!(v.words().len(), (len + 65).div_ceil(64));
+        }
+    }
+
+    #[test]
+    fn nulls_column() {
+        let c = Column::nulls(DataType::Utf8, 70);
+        assert_eq!(c.len(), 70);
+        assert_eq!(c.null_count(), 70);
+        assert_eq!(c.value(69), Value::Null);
     }
 
     #[test]

@@ -160,9 +160,16 @@ pub fn compare(op: BinaryOp, left: &Value, right: &Value) -> Result<Truth> {
             )),
         };
     }
-    let ord = left
-        .sql_cmp(right)
-        .ok_or_else(|| FeisuError::Execution(format!("cannot compare {left} with {right}")))?;
+    let Some(ord) = left.sql_cmp(right) else {
+        // Numbers that do not order (a NaN operand) compare false under
+        // every operator, as in the engine's columnar fast path.
+        if left.as_f64().is_some() && right.as_f64().is_some() {
+            return Ok(Truth::False);
+        }
+        return Err(FeisuError::Execution(format!(
+            "cannot compare {left} with {right}"
+        )));
+    };
     Ok(Truth::from_bool(match op {
         BinaryOp::Eq => ord == Ordering::Equal,
         BinaryOp::NotEq => ord != Ordering::Equal,
@@ -289,6 +296,17 @@ mod tests {
         assert_eq!(ev("a % 4", &r), Value::Int64(3));
         assert_eq!(ev("a / b", &r), Value::Float64(3.5));
         assert_eq!(ev("-a", &r), Value::Int64(-7));
+    }
+
+    #[test]
+    fn nan_compares_false_and_mixed_types_error() {
+        let r = row(&[("f", Value::Float64(f64::NAN)), ("s", Value::from("x"))]);
+        for op in ["=", "<>", "<", ">="] {
+            assert_eq!(ev(&format!("f {op} f"), &r), Value::Bool(false), "{op}");
+            assert_eq!(ev(&format!("f {op} 1"), &r), Value::Bool(false), "{op}");
+        }
+        assert_eq!(ev("-0.0 = 0.0", &r), Value::Bool(true));
+        assert!(eval(&parse_expr("s = 1").unwrap(), &r).is_err());
     }
 
     #[test]

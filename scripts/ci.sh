@@ -232,17 +232,18 @@ fi
 # Join-order bench: the cost-based search must actually reorder the
 # Zipfian star join, answer exactly the same as the syntactic order, and
 # never be slower (smoke config; the committed numbers come from a full
-# run, which shows the >1.5x simulated win).
+# run, which shows the >1.5x simulated win). The smoke run writes under
+# target/ so the committed full-run results/BENCH_join_order.json stays.
 echo "ci: join-order bench (smoke)"
 cargo run --release $OFFLINE -p feisu-bench --bin bench_join_order -- --smoke
-if [ ! -s results/BENCH_join_order.json ]; then
-  echo "ci: results/BENCH_join_order.json missing or empty" >&2
+if [ ! -s target/bench-smoke/BENCH_join_order.json ]; then
+  echo "ci: target/bench-smoke/BENCH_join_order.json missing or empty" >&2
   exit 1
 fi
 if command -v python3 >/dev/null 2>&1; then
   python3 - <<'EOF'
 import json
-with open("results/BENCH_join_order.json") as f:
+with open("target/bench-smoke/BENCH_join_order.json") as f:
     data = json.load(f)
 assert data["bench"] == "join_order", data
 configs = data["configs"]
@@ -259,8 +260,8 @@ star = configs[0]
 print(f"ci: join-order json ok (sim speedup {star['sim_speedup']}x, {star['join_order']})")
 EOF
 else
-  grep -q '"bench": "join_order"' results/BENCH_join_order.json
-  grep -q '"results_match": true' results/BENCH_join_order.json
+  grep -q '"bench": "join_order"' target/bench-smoke/BENCH_join_order.json
+  grep -q '"results_match": true' target/bench-smoke/BENCH_join_order.json
   echo "ci: join-order json ok (grep check)"
 fi
 

@@ -4,6 +4,8 @@
 //! [`MemProvider`] holding identical data, so every distributed answer
 //! can be checked against the single-process oracle executor.
 
+pub mod join_ref;
+
 use feisu_core::engine::{ClusterSpec, FeisuCluster};
 use feisu_exec::batch::RecordBatch;
 use feisu_exec::MemProvider;

@@ -225,3 +225,49 @@ fn query_stats_merge_combines_counters_and_ratio() {
     c.merge(&QueryStats::default());
     assert!((c.processed_ratio - 0.875).abs() < 1e-12);
 }
+
+#[test]
+fn hash_join_span_shows_the_hashed_input() {
+    use feisu_format::{DataType, Field, Schema, Value};
+    let fx = fixture(200);
+    let schema = Schema::new(vec![
+        Field::new("url", DataType::Utf8, false),
+        Field::new("rank", DataType::Int64, false),
+    ]);
+    fx.cluster
+        .create_table("dim", schema, "/kv/warehouse/dim", &fx.cred)
+        .unwrap();
+    let rows = (0..3)
+        .map(|i| {
+            vec![
+                Value::from(format!("https://site{i}.example/p0")),
+                Value::from(i as i64),
+            ]
+        })
+        .collect();
+    fx.cluster.ingest_rows("dim", rows, &fx.cred).unwrap();
+    // Two-relation joins keep their written order, so the 3-row dimension
+    // is the right input in one query and the left input in the other:
+    // the smaller input is hashed either way.
+    for (sql, side) in [
+        (
+            "SELECT clicks.day, dim.rank FROM clicks JOIN dim ON clicks.url = dim.url",
+            "right",
+        ),
+        (
+            "SELECT clicks.day, dim.rank FROM dim JOIN clicks ON dim.url = clicks.url",
+            "left",
+        ),
+    ] {
+        let r = fx.cluster.query(sql, &fx.cred).unwrap();
+        let span = r.profile.tree.find_all("HashJoin");
+        assert_eq!(span.len(), 1, "{sql}");
+        let attr = |k: &str| span[0].attr(k).map(|v| v.to_string());
+        assert_eq!(attr("build_side").as_deref(), Some(side), "{sql}");
+        assert_eq!(attr("build_rows").as_deref(), Some("3"), "{sql}");
+        assert_eq!(attr("probe_rows").as_deref(), Some("200"), "{sql}");
+        let text = r.profile.render();
+        assert!(text.contains(&format!("build_side={side}")), "{text}");
+        assert!(r.chrome_trace().contains("build_side"), "{sql}");
+    }
+}
